@@ -1,5 +1,7 @@
-// Golden numerics gate: a tiny seeded 2-individual x 2-model experiment
-// grid whose report CSV must match tests/golden/experiment_small.csv
+// Golden numerics gate: tiny seeded 2-individual experiment grids whose
+// report CSVs must match tests/golden/experiment_small.csv (LSTM, A3TGCN)
+// and tests/golden/experiment_graph_small.csv (ASTGCN, MTGNN at Seq5, so
+// the 1xk inception convolutions and mix-hop propagation are pinned)
 // BYTE FOR BYTE. Any PR that changes these bytes has changed the
 // numerics — deliberately or not — and must regenerate the golden file
 // and justify the diff in review. Perf work (kernel re-blocking, new
@@ -11,9 +13,10 @@
 //   ./golden_regression_test --update-golden
 // or
 //   EMAF_UPDATE_GOLDEN=1 ./golden_regression_test
-// then commit the rewritten tests/golden/experiment_small.csv. The
-// update path runs at 1 thread and still fails if the other thread
-// counts disagree with the refreshed file.
+// then commit the rewritten tests/golden/*.csv. The update path runs at
+// 1 thread and still fails if the other thread counts disagree with the
+// refreshed file. ctest runs this suite twice, the second time with
+// EMAF_NO_SIMD=1, so both kernel dispatch arms reproduce the same bytes.
 
 #include <cstdlib>
 #include <cstring>
@@ -40,8 +43,8 @@ namespace {
 #error "tests/CMakeLists.txt must define EMAF_GOLDEN_DIR"
 #endif
 
-std::string GoldenPath() {
-  return std::string(EMAF_GOLDEN_DIR) + "/experiment_small.csv";
+std::string GoldenPath(const std::string& name) {
+  return std::string(EMAF_GOLDEN_DIR) + "/" + name;
 }
 
 // Round-trip exact formatting: 17 significant digits distinguish every
@@ -86,8 +89,27 @@ std::vector<core::CellSpec> GoldenGrid() {
   return grid;
 }
 
-// The full report CSV for the golden grid, as written by TablePrinter.
-std::string RunGridCsv(int64_t threads) {
+// ASTGCN and MTGNN over the Pearson graph at Seq5: the two families whose
+// training is mostly f64 GEMM (Chebyshev/attention products, 1xk
+// convolutions, mix-hop propagation). Kept apart from GoldenGrid() so the
+// older file's bytes never need regenerating.
+std::vector<core::CellSpec> GraphGoldenGrid() {
+  std::vector<core::CellSpec> grid;
+  for (core::ModelKind model :
+       {core::ModelKind::kAstgcn, core::ModelKind::kMtgnn}) {
+    core::CellSpec spec;
+    spec.model = model;
+    spec.metric = graph::GraphMetric::kCorrelation;
+    spec.gdt = 0.4;
+    spec.input_length = 5;
+    grid.push_back(spec);
+  }
+  return grid;
+}
+
+// The full report CSV for a golden grid, as written by TablePrinter.
+std::string RunGridCsv(const std::vector<core::CellSpec>& grid,
+                       int64_t threads) {
   common::ThreadPool::SetGlobalNumThreads(threads);
   core::ExperimentConfig config = GoldenConfig();
   data::Cohort cohort = data::GenerateCohort(config.generator);
@@ -95,7 +117,7 @@ std::string RunGridCsv(int64_t threads) {
 
   core::TablePrinter table(
       {"cell", "mean_mse(std)", "mse_individual_0", "mse_individual_1"});
-  for (const core::CellSpec& spec : GoldenGrid()) {
+  for (const core::CellSpec& spec : grid) {
     core::CellResult result = runner.RunCellOrDie(spec);
     EXPECT_EQ(result.per_individual_mse.size(), 2u);
     table.AddRow({StrCat(spec.Label(), "_seq", spec.input_length),
@@ -115,10 +137,10 @@ std::string RunGridCsv(int64_t threads) {
   return contents.str();
 }
 
-std::string ReadGolden() {
-  std::ifstream in(GoldenPath(), std::ios::binary);
+std::string ReadGolden(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open())
-      << GoldenPath()
+      << path
       << " missing — run ./golden_regression_test --update-golden once and "
          "commit the file";
   std::ostringstream contents;
@@ -126,23 +148,35 @@ std::string ReadGolden() {
   return contents.str();
 }
 
-TEST(GoldenRegressionTest, ReportCsvMatchesGoldenAtOneTwoEightThreads) {
-  std::string serial = RunGridCsv(1);
+// Runs `grid` at 1 thread (rewriting `name` under --update-golden), then
+// checks the 1-, 2- and 8-thread CSVs against the committed file.
+void ExpectGridMatchesGolden(const std::vector<core::CellSpec>& grid,
+                             const std::string& name) {
+  const std::string path = GoldenPath(name);
+  std::string serial = RunGridCsv(grid, 1);
   if (update_golden) {
-    std::ofstream out(GoldenPath(), std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << GoldenPath();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
     out << serial;
     ASSERT_TRUE(out.good());
-    std::cout << "[golden] rewrote " << GoldenPath() << "\n";
+    std::cout << "[golden] rewrote " << path << "\n";
   }
-  std::string golden = ReadGolden();
+  std::string golden = ReadGolden(path);
   ASSERT_FALSE(golden.empty());
   // Byte-for-byte: EXPECT_EQ on the full strings shows the first diff.
-  EXPECT_EQ(serial, golden) << "serial run diverged from golden CSV";
+  EXPECT_EQ(serial, golden) << "serial run diverged from " << name;
   for (int64_t threads : {2, 8}) {
-    EXPECT_EQ(RunGridCsv(threads), golden)
-        << "threads=" << threads << " diverged from golden CSV";
+    EXPECT_EQ(RunGridCsv(grid, threads), golden)
+        << "threads=" << threads << " diverged from " << name;
   }
+}
+
+TEST(GoldenRegressionTest, ReportCsvMatchesGoldenAtOneTwoEightThreads) {
+  ExpectGridMatchesGolden(GoldenGrid(), "experiment_small.csv");
+}
+
+TEST(GoldenRegressionTest, GraphFamiliesCsvMatchesGoldenAtOneTwoEightThreads) {
+  ExpectGridMatchesGolden(GraphGoldenGrid(), "experiment_graph_small.csv");
 }
 
 }  // namespace
