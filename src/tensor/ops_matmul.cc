@@ -1,4 +1,7 @@
+#include <immintrin.h>
+
 #include <algorithm>
+#include <cmath>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -11,11 +14,20 @@ namespace emaf::tensor {
 
 namespace internal {
 
-void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
-                  Scalar* __restrict__ c, int64_t m, int64_t k, int64_t n) {
-  // Row-blocked i-k-j: four A rows share each loaded B row, the j loop is
-  // contiguous in B and C and auto-vectorizes. C must be zero-initialized
-  // (or hold a partial sum).
+namespace {
+
+// Every f64 GEMM arm computes, for each C[i][j], the chain
+//   for kk in 0..k: C[i][j] = fma(A[i][kk], B[kk][j], C[i][j])
+// in ascending kk order from C's initial value, skipping a kk when the A
+// values of the row's whole 4-row block are zero (rows past the last full
+// block form 1-row blocks). The skip is part of the result, not only a
+// shortcut: fma(0, inf, c) is NaN and fma(+0, b, -0.0) is +0, so both arms
+// (and ParallelMatMul's 4-row-aligned chunks) must skip exactly the same
+// kk per row to agree bitwise.
+
+void MatMulKernelScalar(const Scalar* __restrict__ a,
+                        const Scalar* __restrict__ b, Scalar* __restrict__ c,
+                        int64_t m, int64_t k, int64_t n) {
   int64_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const Scalar* a0 = a + i * k;
@@ -35,10 +47,10 @@ void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
       const Scalar* brow = b + kk * n;
       for (int64_t j = 0; j < n; ++j) {
         Scalar bj = brow[j];
-        c0[j] += v0 * bj;
-        c1[j] += v1 * bj;
-        c2[j] += v2 * bj;
-        c3[j] += v3 * bj;
+        c0[j] = std::fma(v0, bj, c0[j]);
+        c1[j] = std::fma(v1, bj, c1[j]);
+        c2[j] = std::fma(v2, bj, c2[j]);
+        c3[j] = std::fma(v3, bj, c3[j]);
       }
     }
   }
@@ -49,8 +61,148 @@ void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
       Scalar aik = arow[kk];
       if (aik == 0.0) continue;
       const Scalar* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+      for (int64_t j = 0; j < n; ++j) crow[j] = std::fma(aik, brow[j], crow[j]);
     }
+  }
+}
+
+// --- AVX2/FMA arm ----------------------------------------------------------
+//
+// k is walked in chunks of kKc. Per chunk and row block, the A values of
+// the kk that survive the zero-skip are packed (R per kk, contiguous) with
+// their B row offsets; every column tile of the block then runs over that
+// packed list with its C tile held in registers. C round-trips through
+// memory between chunks, which is exact, so each element still sees one
+// ascending-kk FMA chain.
+
+constexpr int64_t kKc = 256;
+
+// C[0:R, 0:4*NV] += packed A x B over `count` packed kk, the tile held in
+// ymm registers for the whole walk. With kMask the last vector covers only
+// the lanes set in `mask` (the n tail); masked lanes are neither read nor
+// written.
+template <int R, int NV, bool kMask>
+inline __attribute__((always_inline)) void GemmTile(
+    const Scalar* ap, const int64_t* boff, int64_t count, const Scalar* b,
+    Scalar* c, int64_t n, __m256i mask) {
+  __m256d acc[R][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = (kMask && v == NV - 1)
+                      ? _mm256_maskload_pd(c + r * n + 4 * v, mask)
+                      : _mm256_loadu_pd(c + r * n + 4 * v);
+    }
+  }
+  for (int64_t t = 0; t < count; ++t) {
+    const Scalar* brow = b + boff[t];
+    __m256d bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      bv[v] = (kMask && v == NV - 1) ? _mm256_maskload_pd(brow + 4 * v, mask)
+                                     : _mm256_loadu_pd(brow + 4 * v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d w = _mm256_broadcast_sd(ap + t * R + r);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(w, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      if (kMask && v == NV - 1) {
+        _mm256_maskstore_pd(c + r * n + 4 * v, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_pd(c + r * n + 4 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+// One packed block of R rows across all n columns: 4x8 tiles for a 4-row
+// block; 1x32 tiles for a single row (enough independent FMA chains to
+// hide latency, e.g. an LSTM gate row [1, 64] x [64, 256]); then 8-, 4-
+// and masked 1-3-column tails.
+template <int R>
+void GemmRowBlock(const Scalar* ap, const int64_t* boff, int64_t count,
+                  const Scalar* b, Scalar* c, int64_t n) {
+  constexpr int kMainVectors = R == 4 ? 2 : 8;
+  const __m256i all = _mm256_set1_epi64x(-1);
+  int64_t j = 0;
+  for (; j + 4 * kMainVectors <= n; j += 4 * kMainVectors) {
+    GemmTile<R, kMainVectors, false>(ap, boff, count, b + j, c + j, n, all);
+  }
+  for (; j + 8 <= n; j += 8) {
+    GemmTile<R, 2, false>(ap, boff, count, b + j, c + j, n, all);
+  }
+  if (j + 4 <= n) {
+    GemmTile<R, 1, false>(ap, boff, count, b + j, c + j, n, all);
+    j += 4;
+  }
+  if (j < n) {
+    const int64_t rem = n - j;
+    const __m256i mask =
+        _mm256_setr_epi64x(-1, rem > 1 ? -1 : 0, rem > 2 ? -1 : 0, 0);
+    GemmTile<R, 1, true>(ap, boff, count, b + j, c + j, n, mask);
+  }
+}
+
+void MatMulKernelAvx2(const Scalar* __restrict__ a,
+                      const Scalar* __restrict__ b, Scalar* __restrict__ c,
+                      int64_t m, int64_t k, int64_t n) {
+  alignas(32) Scalar ap[kKc * 4];
+  int64_t boff[kKc];
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const int64_t k1 = std::min(k, k0 + kKc);
+    int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const Scalar* a0 = a + i * k;
+      const Scalar* a1 = a0 + k;
+      const Scalar* a2 = a1 + k;
+      const Scalar* a3 = a2 + k;
+      int64_t count = 0;
+      for (int64_t kk = k0; kk < k1; ++kk) {
+        Scalar v0 = a0[kk];
+        Scalar v1 = a1[kk];
+        Scalar v2 = a2[kk];
+        Scalar v3 = a3[kk];
+        if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
+        Scalar* dst = ap + count * 4;
+        dst[0] = v0;
+        dst[1] = v1;
+        dst[2] = v2;
+        dst[3] = v3;
+        boff[count++] = kk * n;
+      }
+      GemmRowBlock<4>(ap, boff, count, b, c + i * n, n);
+    }
+    for (; i < m; ++i) {
+      const Scalar* arow = a + i * k;
+      int64_t count = 0;
+      for (int64_t kk = k0; kk < k1; ++kk) {
+        if (arow[kk] == 0.0) continue;
+        ap[count] = arow[kk];
+        boff[count++] = kk * n;
+      }
+      GemmRowBlock<1>(ap, boff, count, b, c + i * n, n);
+    }
+  }
+}
+
+}  // namespace
+
+void MatMulKernel(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
+                  int64_t k, int64_t n) {
+  if (simd::Enabled()) {
+    MatMulKernelAvx2(a, b, c, m, k, n);
+  } else {
+    MatMulKernelScalar(a, b, c, m, k, n);
   }
 }
 
@@ -109,9 +261,9 @@ Shape BatchShape(const Shape& s) {
   return Shape(dims);
 }
 
-// The serial per-batch kernel for each element type: f64 keeps the
-// zero-skipping MatMulKernel verbatim (golden bytes), f32 routes through
-// the dispatched simd kernel.
+// The serial per-batch kernel for each element type: f64 runs the
+// zero-skipping MatMulKernel (golden bytes), f32 the simd kernel; both
+// dispatch on simd::Enabled().
 inline void SerialKernel(const Scalar* a, const Scalar* b, Scalar* c,
                          int64_t m, int64_t k, int64_t n) {
   internal::MatMulKernel(a, b, c, m, k, n);
