@@ -18,33 +18,33 @@ template <typename T>
 Tensor StridedCopyT(const Tensor& x, const Shape& out_shape,
                     const std::vector<int64_t>& in_strides) {
   Tensor out = MakeUninitialized(out_shape, x.dtype());
+  const int64_t n = out_shape.NumElements();
+  if (n == 0) return out;
   const std::vector<int64_t>& dims = out_shape.dims();
-  int64_t rank = out_shape.rank();
-  std::vector<int64_t> index(rank, 0);
+  const int64_t rank = out_shape.rank();
   const T* xd = x.data<T>();
   T* od = out.data<T>();
-  int64_t n = out_shape.NumElements();
-  // Fast path: innermost axis is contiguous in the input -> copy rows.
-  if (rank >= 1 && in_strides[rank - 1] == 1 && dims[rank - 1] > 1) {
-    int64_t row = dims[rank - 1];
-    int64_t rows = n / row;
-    int64_t off = 0;
+  // The two innermost output axes are copied as one strided 2-D plane (a
+  // transpose when a permute swaps them); the odometer walks only the
+  // outer axes, once per plane.
+  const int64_t cols = rank >= 1 ? dims[rank - 1] : 1;
+  const int64_t col_stride = rank >= 1 ? in_strides[rank - 1] : 0;
+  const int64_t rows = rank >= 2 ? dims[rank - 2] : 1;
+  const int64_t row_stride = rank >= 2 ? in_strides[rank - 2] : 0;
+  const int64_t plane = rows * cols;
+  std::vector<int64_t> index(static_cast<size_t>(rank), 0);
+  int64_t off = 0;
+  for (T* dst = od; dst != od + n; dst += plane) {
     for (int64_t r = 0; r < rows; ++r) {
-      std::copy(xd + off, xd + off + row, od + r * row);
-      // Odometer over the outer axes only.
-      for (int64_t axis = rank - 2; axis >= 0; --axis) {
-        off += in_strides[axis];
-        if (++index[axis] < dims[axis]) break;
-        off -= in_strides[axis] * dims[axis];
-        index[axis] = 0;
+      const T* src = xd + off + r * row_stride;
+      T* drow = dst + r * cols;
+      if (col_stride == 1) {
+        std::copy(src, src + cols, drow);
+      } else {
+        for (int64_t c = 0; c < cols; ++c) drow[c] = src[c * col_stride];
       }
     }
-    return out;
-  }
-  int64_t off = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    od[i] = xd[off];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+    for (int64_t axis = rank - 3; axis >= 0; --axis) {
       off += in_strides[axis];
       if (++index[axis] < dims[axis]) break;
       off -= in_strides[axis] * dims[axis];
@@ -62,6 +62,15 @@ Tensor StridedCopy(const Tensor& x, const Shape& out_shape,
   return StridedCopyT<Scalar>(x, out_shape, in_strides);
 }
 
+// A tensor of `shape` over x's storage (no copy, no autograd).
+Tensor ViewAs(const Tensor& x, const Shape& shape) {
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = shape;
+  impl->dtype = x.impl()->dtype;
+  impl->storage = x.impl()->storage;
+  return Tensor(std::move(impl));
+}
+
 std::vector<int64_t> InversePerm(const std::vector<int64_t>& perm) {
   std::vector<int64_t> inverse(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) {
@@ -75,18 +84,16 @@ std::vector<int64_t> InversePerm(const std::vector<int64_t>& perm) {
 Tensor Reshape(const Tensor& x, const Shape& shape) {
   EMAF_CHECK_EQ(x.NumElements(), shape.NumElements())
       << "reshape " << x.shape().ToString() << " -> " << shape.ToString();
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = shape;
-  impl->dtype = x.impl()->dtype;
-  impl->storage = x.impl()->storage;  // view: same data
-  Tensor out(std::move(impl));
+  Tensor out = ViewAs(x, shape);
   if (ph::Active()) {
     ph::Record({ph::OpKind::kReshape, {x}, out, 0.0, 0.0, shape.dims()});
   }
   if (ShouldRecord({x})) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "Reshape", {x}, [x_shape](const Tensor& g) {
-      return std::vector<Tensor>{Tensor::FromVector(x_shape, g.ToVector())};
+      // A view of g: AccumulateGrad clones the first delta it keeps, so
+      // the alias never outlives this backward step.
+      return std::vector<Tensor>{ViewAs(g, x_shape)};
     });
   }
   return out;

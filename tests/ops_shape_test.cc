@@ -67,6 +67,47 @@ TEST(PermuteTest, RoundTripGrad) {
   EXPECT_TRUE(r.ok) << r.max_error;
 }
 
+// Checks every element of Permute(x, perm) against x read through the
+// permutation, on an input of distinct values, in f64 and f32.
+void ExpectPermuteMatchesIndexing(const Shape& shape,
+                                  const std::vector<int64_t>& perm) {
+  Tensor x = Reshape(Tensor::Arange(shape.NumElements()), shape);
+  Tensor p = Permute(x, perm);
+  Tensor p32 = Permute(x.CastTo(DType::kF32), perm);
+  const int64_t rank = shape.rank();
+  std::vector<int64_t> out_index(static_cast<size_t>(rank));
+  std::vector<int64_t> in_index(static_cast<size_t>(rank));
+  for (int64_t flat = 0; flat < p.NumElements(); ++flat) {
+    int64_t rest = flat;
+    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+      out_index[axis] = rest % p.dim(axis);
+      rest /= p.dim(axis);
+    }
+    for (int64_t axis = 0; axis < rank; ++axis) {
+      in_index[perm[axis]] = out_index[axis];
+    }
+    ASSERT_EQ(p.data()[flat], x.At(in_index)) << "element " << flat;
+    ASSERT_EQ(p32.data<float>()[flat], static_cast<float>(x.At(in_index)))
+        << "f32 element " << flat;
+  }
+}
+
+TEST(PermuteTest, Rank3StridedInnermostAxis) {
+  // Swapping the two inner axes is a batched transpose; moving the
+  // outermost axis inward makes the innermost read stride the largest.
+  ExpectPermuteMatchesIndexing(Shape{3, 5, 7}, {0, 2, 1});
+  ExpectPermuteMatchesIndexing(Shape{3, 5, 7}, {1, 2, 0});
+  ExpectPermuteMatchesIndexing(Shape{4, 1, 6}, {2, 0, 1});
+}
+
+TEST(PermuteTest, Rank4StridedInnermostAxis) {
+  // [B, C, V, T] round trips as in mix-hop propagation and layer norm.
+  ExpectPermuteMatchesIndexing(Shape{2, 3, 5, 4}, {0, 1, 3, 2});
+  ExpectPermuteMatchesIndexing(Shape{2, 3, 5, 4}, {0, 3, 2, 1});
+  ExpectPermuteMatchesIndexing(Shape{2, 3, 5, 4}, {3, 2, 0, 1});
+  ExpectPermuteMatchesIndexing(Shape{2, 1, 5, 1}, {3, 0, 2, 1});
+}
+
 TEST(TransposeTest, SwapsTwoAxes) {
   Tensor a = Tensor::Zeros(Shape{2, 3, 4});
   EXPECT_EQ(Transpose(a, 0, 2).shape(), (Shape{4, 3, 2}));
