@@ -69,7 +69,7 @@ struct OpRecord {
   Tensor output;
   Scalar s0 = 0.0;
   Scalar s1 = 0.0;
-  std::vector<int64_t> ints;
+  std::vector<int64_t> ints = {};
 };
 
 class Sink {

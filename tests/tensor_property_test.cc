@@ -208,7 +208,9 @@ TEST_P(SeededPropertyTest, TopKMaskKeepsExactlyKPerSlice) {
       }
     }
     EXPECT_EQ(kept, k);
-    if (k < cols) EXPECT_GE(min_kept, max_dropped);
+    if (k < cols) {
+      EXPECT_GE(min_kept, max_dropped);
+    }
   }
 }
 
