@@ -184,7 +184,8 @@ TEST(MatMulKernelOracleTest, EveryRowAndColumnRemainder) {
   // every n % 8 up to 40 and the wide tiles' edges up to 160.
   std::vector<int64_t> ns;
   for (int64_t n = 1; n <= 40; ++n) ns.push_back(n);
-  for (int64_t n : {63, 64, 65, 95, 96, 97, 127, 128, 129, 157, 158, 159, 160}) {
+  for (int64_t n :
+       {63, 64, 65, 95, 96, 97, 127, 128, 129, 157, 158, 159, 160}) {
     ns.push_back(n);
   }
   ForEachArm([&] {
