@@ -17,10 +17,8 @@ namespace emaf::tensor::internal {
 // partial sum to accumulate into). Each C[i][j] is one fma chain over
 // ascending kk from its initial value; a kk is skipped when all four A
 // values of the row's 4-row block are zero (single rows past the last full
-// block: when A[i][kk] is zero). Dispatches per simd::Enabled() to a
-// register-tiled AVX2/FMA arm or a scalar std::fma arm with identical
-// bytes (DESIGN.md, "Dtype layer & SIMD dispatch"). Defined in
-// ops_matmul.cc.
+// block: when A[i][kk] is zero). Register-tiled AVX2/FMA (DESIGN.md,
+// "Dtype layer & SIMD dispatch"). Defined in ops_matmul.cc.
 void MatMulKernel(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
                   int64_t k, int64_t n);
 

@@ -1,7 +1,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -16,57 +15,14 @@ namespace internal {
 
 namespace {
 
-// Every f64 GEMM arm computes, for each C[i][j], the chain
+// The f64 GEMM computes, for each C[i][j], the chain
 //   for kk in 0..k: C[i][j] = fma(A[i][kk], B[kk][j], C[i][j])
 // in ascending kk order from C's initial value, skipping a kk when the A
 // values of the row's whole 4-row block are zero (rows past the last full
 // block form 1-row blocks). The skip is part of the result, not only a
-// shortcut: fma(0, inf, c) is NaN and fma(+0, b, -0.0) is +0, so both arms
-// (and ParallelMatMul's 4-row-aligned chunks) must skip exactly the same
-// kk per row to agree bitwise.
-
-void MatMulKernelScalar(const Scalar* __restrict__ a,
-                        const Scalar* __restrict__ b, Scalar* __restrict__ c,
-                        int64_t m, int64_t k, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const Scalar* a0 = a + i * k;
-    const Scalar* a1 = a0 + k;
-    const Scalar* a2 = a1 + k;
-    const Scalar* a3 = a2 + k;
-    Scalar* c0 = c + i * n;
-    Scalar* c1 = c0 + n;
-    Scalar* c2 = c1 + n;
-    Scalar* c3 = c2 + n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      Scalar v0 = a0[kk];
-      Scalar v1 = a1[kk];
-      Scalar v2 = a2[kk];
-      Scalar v3 = a3[kk];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      const Scalar* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) {
-        Scalar bj = brow[j];
-        c0[j] = std::fma(v0, bj, c0[j]);
-        c1[j] = std::fma(v1, bj, c1[j]);
-        c2[j] = std::fma(v2, bj, c2[j]);
-        c3[j] = std::fma(v3, bj, c3[j]);
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    const Scalar* arow = a + i * k;
-    Scalar* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      Scalar aik = arow[kk];
-      if (aik == 0.0) continue;
-      const Scalar* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] = std::fma(aik, brow[j], crow[j]);
-    }
-  }
-}
-
-// --- AVX2/FMA arm ----------------------------------------------------------
+// shortcut: fma(0, inf, c) is NaN and fma(+0, b, -0.0) is +0, so
+// ParallelMatMul's 4-row-aligned chunks skip exactly the kk a serial
+// sweep skips and agree with it bitwise.
 //
 // k is walked in chunks of kKc. Per chunk and row block, the A values of
 // the kk that survive the zero-skip are packed (R per kk, contiguous) with
@@ -127,8 +83,8 @@ inline __attribute__((always_inline)) void GemmTile(
 
 // One packed block of R rows across all n columns: 4x8 tiles for a 4-row
 // block; 1x32 tiles for a single row (enough independent FMA chains to
-// hide latency, e.g. an LSTM gate row [1, 64] x [64, 256]); then 8-, 4-
-// and masked 1-3-column tails.
+// hide latency, e.g. an LSTM gate row [1, 64] x [64, 256]) with 8-column
+// tiles after them; then 4- and masked 1-3-column tails.
 template <int R>
 void GemmRowBlock(const Scalar* ap, const int64_t* boff, int64_t count,
                   const Scalar* b, Scalar* c, int64_t n) {
@@ -138,8 +94,10 @@ void GemmRowBlock(const Scalar* ap, const int64_t* boff, int64_t count,
   for (; j + 4 * kMainVectors <= n; j += 4 * kMainVectors) {
     GemmTile<R, kMainVectors, false>(ap, boff, count, b + j, c + j, n, all);
   }
-  for (; j + 8 <= n; j += 8) {
-    GemmTile<R, 2, false>(ap, boff, count, b + j, c + j, n, all);
+  if constexpr (R == 1) {
+    for (; j + 8 <= n; j += 8) {
+      GemmTile<R, 2, false>(ap, boff, count, b + j, c + j, n, all);
+    }
   }
   if (j + 4 <= n) {
     GemmTile<R, 1, false>(ap, boff, count, b + j, c + j, n, all);
@@ -153,9 +111,10 @@ void GemmRowBlock(const Scalar* ap, const int64_t* boff, int64_t count,
   }
 }
 
-void MatMulKernelAvx2(const Scalar* __restrict__ a,
-                      const Scalar* __restrict__ b, Scalar* __restrict__ c,
-                      int64_t m, int64_t k, int64_t n) {
+}  // namespace
+
+void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
+                  Scalar* __restrict__ c, int64_t m, int64_t k, int64_t n) {
   alignas(32) Scalar ap[kKc * 4];
   int64_t boff[kKc];
   for (int64_t k0 = 0; k0 < k; k0 += kKc) {
@@ -192,17 +151,6 @@ void MatMulKernelAvx2(const Scalar* __restrict__ a,
       }
       GemmRowBlock<1>(ap, boff, count, b, c + i * n, n);
     }
-  }
-}
-
-}  // namespace
-
-void MatMulKernel(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
-                  int64_t k, int64_t n) {
-  if (simd::Enabled()) {
-    MatMulKernelAvx2(a, b, c, m, k, n);
-  } else {
-    MatMulKernelScalar(a, b, c, m, k, n);
   }
 }
 
@@ -262,8 +210,8 @@ Shape BatchShape(const Shape& s) {
 }
 
 // The serial per-batch kernel for each element type: f64 runs the
-// zero-skipping MatMulKernel (golden bytes), f32 the simd kernel; both
-// dispatch on simd::Enabled().
+// zero-skipping MatMulKernel (golden bytes), f32 the simd kernel, which
+// dispatches on simd::Enabled().
 inline void SerialKernel(const Scalar* a, const Scalar* b, Scalar* c,
                          int64_t m, int64_t k, int64_t n) {
   internal::MatMulKernel(a, b, c, m, k, n);

@@ -15,8 +15,7 @@
 //   EMAF_UPDATE_GOLDEN=1 ./golden_regression_test
 // then commit the rewritten tests/golden/*.csv. The update path runs at
 // 1 thread and still fails if the other thread counts disagree with the
-// refreshed file. ctest runs this suite twice, the second time with
-// EMAF_NO_SIMD=1, so both kernel dispatch arms reproduce the same bytes.
+// refreshed file.
 
 #include <cstdlib>
 #include <cstring>

@@ -1,6 +1,6 @@
-// Oracle test for the f64 GEMM kernel (internal::MatMulKernel): both
-// dispatch arms, and ParallelMatMul at 1/2/8 threads, must reproduce
-// BITWISE the scalar kernel that produced the committed golden bytes,
+// Oracle test for the f64 GEMM kernel (internal::MatMulKernel): the
+// kernel, and ParallelMatMul at 1/2/8 threads, must reproduce BITWISE the
+// scalar kernel that produced the committed golden bytes,
 // kept verbatim below as OracleKernel. Comparing the kernel against
 // itself (as the property suites do for the parallel paths) cannot catch
 // a change in the per-element FMA chain or in the zero-skip.
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/op_common.h"
-#include "tensor/simd_f32.h"
 
 namespace emaf::tensor {
 namespace {
@@ -166,20 +165,30 @@ std::vector<Scalar> RunParallel(const Problem& p) {
   return ::testing::AssertionSuccess();
 }
 
-// Runs `body` once per dispatch arm available on this host, restoring
-// the probed arm afterwards.
-template <typename F>
-void ForEachArm(F body) {
-  for (bool simd_arm : {true, false}) {
-    bool enabled = simd::SetEnabledForTest(simd_arm);
-    if (simd_arm && !enabled) continue;  // no AVX2/FMA: scalar arm only
-    SCOPED_TRACE(simd_arm ? "AVX2 arm" : "scalar arm");
-    body();
+// OracleKernel stands for the golden bytes only where the compiler fuses
+// its `c += v * b` into one FMA, which GCC does at -O2 and above. Below
+// that (Debug, -O1) the reference rounds twice per step, so a mismatch
+// would say nothing about the kernel; fail on the build instead.
+class MatMulKernelOracleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // a * b = 1 - 2^-60 rounds to 1 unfused, so a*b + c is 0 with two
+    // roundings and -2^-60 with one. The volatile keeps the product out
+    // of constant folding, which would round it before any contraction.
+    volatile Scalar eps = std::ldexp(1.0, -30);
+    std::vector<Scalar> a = {1.0 + eps};
+    std::vector<Scalar> b = {1.0 - eps};
+    std::vector<Scalar> c = {-1.0};
+    OracleKernel(a.data(), b.data(), c.data(), 1, 1, 1);
+    ASSERT_EQ(c[0], -std::ldexp(1.0, -60))
+        << "the reference kernel's c += v * b was not contracted into an "
+           "FMA: this optimisation level (below -O2, e.g. a Debug build) "
+           "does not reproduce the golden bytes and is not supported by "
+           "this test";
   }
-  simd::SetEnabledForTest(true);
-}
+};
 
-TEST(MatMulKernelOracleTest, EveryRowAndColumnRemainder) {
+TEST_F(MatMulKernelOracleTest, EveryRowAndColumnRemainder) {
   // Every m % 4 (with and without full blocks ahead of the remainder),
   // every n % 8 up to 40 and the wide tiles' edges up to 160.
   std::vector<int64_t> ns;
@@ -188,51 +197,45 @@ TEST(MatMulKernelOracleTest, EveryRowAndColumnRemainder) {
        {63, 64, 65, 95, 96, 97, 127, 128, 129, 157, 158, 159, 160}) {
     ns.push_back(n);
   }
-  ForEachArm([&] {
-    uint64_t seed = 1;
-    for (int64_t m = 1; m <= 11; ++m) {
-      for (int64_t n : ns) {
-        for (int64_t k : {1, 2, 5, 31, 257}) {
-          Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
-          ASSERT_TRUE(SameBytes(RunOracle(p), RunKernel(p), p));
-        }
-      }
-    }
-  });
-}
-
-TEST(MatMulKernelOracleTest, LongInnerDimension) {
-  // k crosses the AVX2 arm's k-chunking at and around its boundaries, up
-  // to the ~12k rows a training batch's weight gradient reduces over.
-  ForEachArm([&] {
-    uint64_t seed = 100;
-    for (int64_t k : {255, 256, 257, 511, 513, 4099, 12289}) {
-      for (auto [m, n] : std::vector<std::pair<int64_t, int64_t>>{
-               {5, 7}, {8, 37}, {3, 160}}) {
+  uint64_t seed = 1;
+  for (int64_t m = 1; m <= 11; ++m) {
+    for (int64_t n : ns) {
+      for (int64_t k : {1, 2, 5, 31, 257}) {
         Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
         ASSERT_TRUE(SameBytes(RunOracle(p), RunKernel(p), p));
       }
     }
-  });
+  }
 }
 
-TEST(MatMulKernelOracleTest, PlainRandomMatricesWithoutSpecials) {
+TEST_F(MatMulKernelOracleTest, LongInnerDimension) {
+  // k crosses the kernel's k-chunking at and around its boundaries, up to
+  // the ~12k rows a training batch's weight gradient reduces over.
+  uint64_t seed = 100;
+  for (int64_t k : {255, 256, 257, 511, 513, 4099, 12289}) {
+    for (auto [m, n] : std::vector<std::pair<int64_t, int64_t>>{
+             {5, 7}, {8, 37}, {3, 160}}) {
+      Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
+      ASSERT_TRUE(SameBytes(RunOracle(p), RunKernel(p), p));
+    }
+  }
+}
+
+TEST_F(MatMulKernelOracleTest, PlainRandomMatricesWithoutSpecials) {
   // Finite inputs, where every element of the result must be finite and
   // equal — guards against the special values masking a difference.
-  ForEachArm([&] {
-    uint64_t seed = 200;
-    for (auto [m, k, n] : std::vector<std::tuple<int64_t, int64_t, int64_t>>{
-             {1, 64, 256}, {73, 64, 256}, {26, 26, 130}, {130, 26, 26},
-             {9, 224, 8}, {8, 900, 224}, {67, 8, 224}}) {
-      Problem p = MakeProblem(m, k, n, seed++, /*specials=*/false);
-      std::vector<Scalar> want = RunOracle(p);
-      for (Scalar v : want) ASSERT_TRUE(std::isfinite(v));
-      ASSERT_TRUE(SameBytes(want, RunKernel(p), p));
-    }
-  });
+  uint64_t seed = 200;
+  for (auto [m, k, n] : std::vector<std::tuple<int64_t, int64_t, int64_t>>{
+           {1, 64, 256}, {73, 64, 256}, {26, 26, 130}, {130, 26, 26},
+           {9, 224, 8}, {8, 900, 224}, {67, 8, 224}}) {
+    Problem p = MakeProblem(m, k, n, seed++, /*specials=*/false);
+    std::vector<Scalar> want = RunOracle(p);
+    for (Scalar v : want) ASSERT_TRUE(std::isfinite(v));
+    ASSERT_TRUE(SameBytes(want, RunKernel(p), p));
+  }
 }
 
-TEST(MatMulKernelOracleTest, ParallelMatMulAtOneTwoEightThreads) {
+TEST_F(MatMulKernelOracleTest, ParallelMatMulAtOneTwoEightThreads) {
   // Shapes above kMatMulParallelMinFlops so the pool partitions rows at
   // 4-row multiples; m % 4 != 0 puts a remainder in the last chunk.
   std::vector<std::tuple<int64_t, int64_t, int64_t>> shapes = {
@@ -240,19 +243,17 @@ TEST(MatMulKernelOracleTest, ParallelMatMulAtOneTwoEightThreads) {
   for (auto [m, k, n] : shapes) {
     ASSERT_GE(m * k * n, internal::kMatMulParallelMinFlops);
   }
-  ForEachArm([&] {
-    uint64_t seed = 300;
-    for (auto [m, k, n] : shapes) {
-      Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
-      std::vector<Scalar> want = RunOracle(p);
-      for (int64_t threads : {1, 2, 8}) {
-        common::ThreadPool::SetGlobalNumThreads(threads);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_TRUE(SameBytes(want, RunParallel(p), p));
-      }
-      common::ThreadPool::SetGlobalNumThreads(1);
+  uint64_t seed = 300;
+  for (auto [m, k, n] : shapes) {
+    Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
+    std::vector<Scalar> want = RunOracle(p);
+    for (int64_t threads : {1, 2, 8}) {
+      common::ThreadPool::SetGlobalNumThreads(threads);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      EXPECT_TRUE(SameBytes(want, RunParallel(p), p));
     }
-  });
+    common::ThreadPool::SetGlobalNumThreads(1);
+  }
 }
 
 }  // namespace
