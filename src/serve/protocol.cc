@@ -268,10 +268,11 @@ Result<tensor::Tensor> DecodeTensorPayload(std::string_view payload) {
                " does not match the announced shape (", numel,
                " doubles = ", 8 * numel, " bytes)"));
   }
-  std::vector<double> values(numel);
-  std::memcpy(values.data(), payload.data() + data_offset, data_bytes);
-  return tensor::Tensor::FromVector(tensor::Shape(std::move(dims)),
-                                    std::move(values));
+  // One copy, straight from the wire into uninitialized tensor storage.
+  tensor::Tensor out =
+      tensor::MakeUninitialized(tensor::Shape(std::move(dims)));
+  std::memcpy(out.raw_data(), payload.data() + data_offset, data_bytes);
+  return out;
 }
 
 std::string EncodeStatusPayload(const Status& status) {

@@ -20,8 +20,7 @@ thread_local InferenceArena* current_arena = nullptr;
 struct InferenceArena::State {
   std::mutex mu;
   // byte count -> resting buffers of exactly that size.
-  std::unordered_map<int64_t,
-                     std::vector<std::unique_ptr<std::vector<std::byte>>>>
+  std::unordered_map<int64_t, std::vector<std::unique_ptr<Storage>>>
       free_lists;
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -53,10 +52,9 @@ void InferenceArena::Clear() {
   state_->pooled = 0;
 }
 
-std::shared_ptr<std::vector<std::byte>> InferenceArena::Acquire(
-    int64_t bytes) {
+std::shared_ptr<Storage> InferenceArena::Acquire(int64_t bytes) {
   EMAF_CHECK_GE(bytes, 0);
-  std::unique_ptr<std::vector<std::byte>> buffer;
+  std::unique_ptr<Storage> buffer;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     auto it = state_->free_lists.find(bytes);
@@ -73,16 +71,15 @@ std::shared_ptr<std::vector<std::byte>> InferenceArena::Acquire(
   if (buffer == nullptr) {
     EMAF_METRIC_COUNTER_ADD("tensor.arena_misses", 1);
     EMAF_METRIC_COUNTER_ADD("tensor.storage_allocs", 1);
-    buffer =
-        std::make_unique<std::vector<std::byte>>(static_cast<size_t>(bytes));
+    buffer = std::make_unique<Storage>(static_cast<size_t>(bytes));
   } else {
     EMAF_METRIC_COUNTER_ADD("tensor.arena_hits", 1);
   }
   // The deleter owns a strong reference to the pool state, so a buffer
   // released after the arena handle is gone still parks safely.
   std::shared_ptr<State> state = state_;
-  return std::shared_ptr<std::vector<std::byte>>(
-      buffer.release(), [state](std::vector<std::byte>* v) {
+  return std::shared_ptr<Storage>(
+      buffer.release(), [state](Storage* v) {
         std::lock_guard<std::mutex> lock(state->mu);
         state->free_lists[static_cast<int64_t>(v->size())].emplace_back(v);
         --state->outstanding;

@@ -13,10 +13,10 @@
 // entirely from the pool.
 //
 // Contracts:
-//   - Recycled buffers hold stale values. MakeUninitialized is already
-//     specified as uninitialized; Tensor::Zeros explicitly clears its
-//     buffer when an arena is active (tensor.cc), so no caller observes
-//     the difference.
+//   - Buffers are uninitialized: a miss is a fresh, unzeroed heap buffer
+//     and a hit holds the stale values of its last user. That is the same
+//     contract as the heap path of MakeUninitialized (tensor.h); only
+//     Tensor::Zeros clears its buffer, on every path.
 //   - The arena may be shared by several threads (the serving engine
 //     shares one across its worker pool); Acquire and the deleter take a
 //     short mutex. Arena use never changes numerics — it only changes
@@ -57,7 +57,7 @@ class InferenceArena {
   // Called by MakeUninitialized under an active ArenaScope; keying by byte
   // count means an f32 tensor and an f64 tensor of the same numel use
   // separate pools.
-  std::shared_ptr<std::vector<std::byte>> Acquire(int64_t bytes);
+  std::shared_ptr<Storage> Acquire(int64_t bytes);
 
  private:
   struct State;

@@ -56,10 +56,11 @@ struct ConvDims {
 };
 
 // Builds the im2col matrix [rows, cols]: row (n, oh, ow) holds the receptive
-// field values for every (c, kh, kw), zero where padding is sampled.
+// field values for every (c, kh, kw), zero where padding is sampled. Every
+// element is written exactly once, so the buffer starts uninitialized.
 template <typename T>
 Tensor Im2Col(const T* in, const ConvDims& d, const Conv2dOptions& o) {
-  Tensor col = Tensor::Zeros(Shape{d.rows(), d.cols()}, DTypeOf<T>::value);
+  Tensor col = MakeUninitialized(Shape{d.rows(), d.cols()}, DTypeOf<T>::value);
   T* cd = col.data<T>();
   const int64_t K = d.cols();
   ForEachBatch(d.batch, d.out_h * d.out_w * K, [&](int64_t n) {
@@ -72,12 +73,15 @@ Tensor Im2Col(const T* in, const ConvDims& d, const Conv2dOptions& o) {
           int64_t k_idx = (c * d.kernel_h + kh) * d.kernel_w + kw;
           for (int64_t oh = 0; oh < d.out_h; ++oh) {
             int64_t ih = oh * o.stride_h - o.pad_h + kh * o.dilation_h;
-            if (ih < 0 || ih >= d.in_h) continue;
-            const T* row = plane + ih * d.in_w;
             T* dst = col_n + (oh * d.out_w) * K + k_idx;
+            if (ih < 0 || ih >= d.in_h) {
+              for (int64_t ow = 0; ow < d.out_w; ++ow) dst[ow * K] = T(0);
+              continue;
+            }
+            const T* row = plane + ih * d.in_w;
             for (int64_t ow = 0; ow < d.out_w; ++ow) {
               int64_t iw = ow * o.stride_w - o.pad_w + kw * o.dilation_w;
-              if (iw >= 0 && iw < d.in_w) dst[ow * K] = row[iw];
+              dst[ow * K] = (iw >= 0 && iw < d.in_w) ? row[iw] : T(0);
             }
           }
         }

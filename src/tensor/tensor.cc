@@ -1,5 +1,10 @@
 #include "tensor/tensor.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <atomic>
 #include <cstring>
 #include <sstream>
 
@@ -12,6 +17,38 @@ namespace emaf::tensor {
 
 namespace {
 
+#if defined(__GLIBC__)
+// Keeps freed tensor pages mapped between training steps (DESIGN.md,
+// "Tensor storage"). A training step allocates and frees the same large
+// [B, C, V, T] intermediates every epoch. With glibc's defaults the
+// allocator hands those pages back to the kernel after each backward pass,
+// and the kernel zero-fills them again as they fault in on the next
+// forward. All three settings are needed:
+//   - the mmap threshold is pinned at glibc's maximum, so buffers up to
+//     32 MiB come from the heap instead of private mmaps. Setting only the
+//     trim threshold would also switch off glibc's dynamic mmap threshold,
+//     and then every buffer over 128 KiB would be mmapped and unmapped;
+//   - the trim threshold keeps up to 1 GiB of free memory at the top of the
+//     main heap instead of returning it;
+//   - the top pad grows every heap in 64 MiB steps, so the pool workers'
+//     non-main arenas are not shrunk and regrown each step.
+// The memory held back is memory the next step reuses: peak RSS does not
+// rise.
+constexpr int kMmapThresholdBytes = 32 << 20;
+constexpr int kTrimThresholdBytes = 1 << 30;
+constexpr int kTopPadBytes = 64 << 20;
+
+// Runs once, during static initialization, before any tensor is made.
+[[maybe_unused]] const bool allocator_tuned = [] {
+  mallopt(M_MMAP_THRESHOLD, kMmapThresholdBytes);
+  mallopt(M_TRIM_THRESHOLD, kTrimThresholdBytes);
+  mallopt(M_TOP_PAD, kTopPadBytes);
+  return true;
+}();
+#endif
+
+std::atomic<bool> poison_storage{false};
+
 std::shared_ptr<TensorImpl> NewImpl(const Shape& shape, DType dtype) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
@@ -19,13 +56,14 @@ std::shared_ptr<TensorImpl> NewImpl(const Shape& shape, DType dtype) {
   const int64_t bytes = shape.NumElements() * DTypeSize(dtype);
   if (InferenceArena* arena = CurrentArena()) {
     // Serving path: recycle a pooled buffer of matching byte count instead
-    // of heap-allocating (DESIGN.md, "Serving layer"). Recycled buffers
-    // hold stale values — exactly the MakeUninitialized contract.
+    // of heap-allocating (DESIGN.md, "Serving layer").
     impl->storage = arena->Acquire(bytes);
   } else {
     EMAF_METRIC_COUNTER_ADD("tensor.storage_allocs", 1);
-    impl->storage =
-        std::make_shared<std::vector<std::byte>>(static_cast<size_t>(bytes));
+    impl->storage = std::make_shared<Storage>(static_cast<size_t>(bytes));
+  }
+  if (poison_storage.load(std::memory_order_relaxed)) {
+    std::memset(impl->storage->data(), 0xFF, static_cast<size_t>(bytes));
   }
   return impl;
 }
@@ -51,14 +89,14 @@ Tensor MakeUninitialized(const Shape& shape, DType dtype) {
   return Tensor(NewImpl(shape, dtype));
 }
 
+bool SetPoisonStorageForTest(bool poison) {
+  return poison_storage.exchange(poison);
+}
+
 Tensor Tensor::Zeros(const Shape& shape, DType dtype) {
   Tensor t = MakeUninitialized(shape, dtype);
-  // A fresh byte vector is value-initialized to all-zero bytes (which is
-  // 0.0 in both element types), so the heap path is already zero; an arena
-  // buffer is recycled and must be cleared.
-  if (CurrentArena() != nullptr) {
-    std::memset(t.raw_data(), 0, static_cast<size_t>(t.byte_size()));
-  }
+  // All-zero bytes are 0.0 in both element types.
+  std::memset(t.raw_data(), 0, static_cast<size_t>(t.byte_size()));
   return t;
 }
 
@@ -81,7 +119,7 @@ Tensor Tensor::FromVector(const Shape& shape, std::vector<Scalar> values) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
   const size_t bytes = values.size() * sizeof(Scalar);
-  impl->storage = std::make_shared<std::vector<std::byte>>(bytes);
+  impl->storage = std::make_shared<Storage>(bytes);
   std::memcpy(impl->storage->data(), values.data(), bytes);
   return Tensor(std::move(impl));
 }

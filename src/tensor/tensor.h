@@ -7,11 +7,15 @@
 // node so `loss.Backward()` can later accumulate gradients into every leaf
 // created with requires_grad — see tensor/autograd.h.
 //
-// Storage is a raw byte buffer tagged with a DType. The checked non-
-// template data() accessors are the f64 fast path every pre-dtype call
-// site uses (they CHECK the tensor is f64); dtype-generic code reads
-// through data<T>() or raw_data(). Gradients are always f64 — autograd
-// never runs on f32 tensors.
+// Storage is a raw byte buffer tagged with a DType. A fresh buffer is
+// uninitialized: neither the heap path nor the InferenceArena zeroes it,
+// and a recycled arena buffer holds the stale bytes of its last user. Ops
+// write every output element before it is read; Tensor::Zeros is the one
+// factory that zeroes its buffer. The checked non-template data()
+// accessors are the f64 fast path every pre-dtype call site uses (they
+// CHECK the tensor is f64); dtype-generic code reads through data<T>() or
+// raw_data(). Gradients are always f64 — autograd never runs on f32
+// tensors.
 //
 // Tensors are always contiguous; Reshape shares storage, every other shape
 // op copies. No in-place differentiable ops exist: optimizers mutate
@@ -23,7 +27,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,11 +42,32 @@ using Scalar = double;
 
 struct GradFn;  // defined in tensor/autograd.h
 
+// std::allocator whose argument-less construct() default-initializes, so
+// std::vector<T, DefaultInitAllocator<T>>(n) leaves trivial elements
+// unwritten instead of value-initializing (zeroing) them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  // Constructions with arguments (copies) fall back to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+// A tensor's payload bytes; Storage(n) is n uninitialized bytes.
+using Storage = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+
 // Internal representation. Treat as private to the tensor subsystem.
 struct TensorImpl {
   Shape shape;
   DType dtype = DType::kF64;
-  std::shared_ptr<std::vector<std::byte>> storage;
+  std::shared_ptr<Storage> storage;
   bool requires_grad = false;
   // Non-null for op outputs that participate in the autodiff graph.
   std::shared_ptr<GradFn> grad_fn;
@@ -54,6 +81,7 @@ class Tensor {
   Tensor() = default;
 
   // --- Factories -----------------------------------------------------------
+  // The only factory that zeroes its buffer (MakeUninitialized does not).
   static Tensor Zeros(const Shape& shape, DType dtype = DType::kF64);
   static Tensor Ones(const Shape& shape, DType dtype = DType::kF64);
   static Tensor Full(const Shape& shape, Scalar value,
@@ -132,8 +160,16 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
-// Creates a defined tensor with uninitialized storage (ops use this).
+// Creates a defined tensor with uninitialized storage (ops use this): a
+// fresh heap buffer or, under an ArenaScope, a recycled one holding stale
+// values. The caller must write every element before reading it.
 Tensor MakeUninitialized(const Shape& shape, DType dtype = DType::kF64);
+
+// Test hook: while on, every buffer MakeUninitialized hands out (heap or
+// arena, fresh or recycled) is first filled with 0xFF bytes, a NaN in f64
+// and in f32, so any read of an element no op wrote poisons the result.
+// Returns the previous setting.
+bool SetPoisonStorageForTest(bool poison);
 
 }  // namespace emaf::tensor
 

@@ -1,3 +1,7 @@
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -100,6 +104,60 @@ TEST(ConvTest, IdentityKernel) {
   Tensor weight = Tensor::Ones(Shape{1, 1, 1, 1});
   Tensor out = Conv2d(input, weight, Tensor(), {});
   EXPECT_EQ(out.ToVector(), input.ToVector());
+}
+
+// Im2Col writes its matrix into uninitialized storage, with explicit zeros
+// at padded taps. Under the storage poison switch every fresh buffer starts
+// as NaN bytes, so a tap Im2Col (or the backward pass) failed to write
+// would show in the forward output or in a gradient.
+TEST(ConvTest, PaddedStridedDilatedUnderPoison) {
+  Rng rng(17);
+  const Conv2dOptions o{2, 2, 1, 2, 2, 2};  // stride 2, pad 1x2, dilation 2
+  Tensor input = Tensor::Uniform(Shape{2, 2, 6, 9}, -1, 1, &rng);
+  Tensor weight = Tensor::Uniform(Shape{3, 2, 2, 3}, -1, 1, &rng);
+  Tensor bias = Tensor::Uniform(Shape{3}, -1, 1, &rng);
+  Tensor upstream = Tensor::Uniform(Shape{2, 3, 3, 5}, -1, 1, &rng);
+
+  // Forward output, then the input, weight and bias gradients.
+  auto run = [&] {
+    Tensor x = input.Clone().SetRequiresGrad(true);
+    Tensor w = weight.Clone().SetRequiresGrad(true);
+    Tensor b = bias.Clone().SetRequiresGrad(true);
+    Tensor out = Conv2d(x, w, b, o);
+    Sum(Mul(out, upstream)).Backward();
+    return std::vector<Tensor>{out.Detach(), x.grad(), w.grad(), b.grad()};
+  };
+  const std::vector<Tensor> plain = run();
+  const bool was_poisoned = SetPoisonStorageForTest(true);
+  const std::vector<Tensor> poisoned = run();
+  Tensor poisoned_f32 = Conv2d(input.CastTo(DType::kF32),
+                               weight.CastTo(DType::kF32),
+                               bias.CastTo(DType::kF32), o);
+  GradCheckResult check = CheckGradients(
+      [&](const std::vector<Tensor>& in) {
+        return Sum(Mul(Conv2d(in[0], in[1], in[2], o), upstream));
+      },
+      {input, weight, bias}, 1e-6, 1e-5);
+  SetPoisonStorageForTest(was_poisoned);
+
+  Tensor ref = ReferenceConv2d(input, weight, bias, o);
+  ASSERT_EQ(poisoned[0].shape(), ref.shape());
+  for (int64_t i = 0; i < ref.NumElements(); ++i) {
+    EXPECT_NEAR(poisoned[0].data()[i], ref.data()[i], 1e-10) << "i=" << i;
+    EXPECT_NEAR(poisoned_f32.data<float>()[i], ref.data()[i], 1e-5)
+        << "f32 i=" << i;
+  }
+  for (size_t t = 0; t < plain.size(); ++t) {
+    ASSERT_TRUE(poisoned[t].defined()) << "tensor " << t;
+    for (double v : poisoned[t].ToVector()) {
+      ASSERT_TRUE(std::isfinite(v)) << "tensor " << t;
+    }
+    EXPECT_EQ(std::memcmp(plain[t].data(), poisoned[t].data(),
+                          static_cast<size_t>(plain[t].byte_size())),
+              0)
+        << "tensor " << t;
+  }
+  EXPECT_TRUE(check.ok) << "err " << check.max_error;
 }
 
 TEST(ConvDeathTest, BadShapes) {

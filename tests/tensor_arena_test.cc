@@ -124,7 +124,7 @@ TEST(InferenceArenaTest, ArenaIsThreadLocal) {
 }
 
 TEST(InferenceArenaTest, BuffersOutliveTheArenaHandle) {
-  std::shared_ptr<std::vector<std::byte>> buffer;
+  std::shared_ptr<Storage> buffer;
   {
     InferenceArena arena;
     buffer = arena.Acquire(7);
@@ -137,7 +137,7 @@ TEST(InferenceArenaTest, BuffersOutliveTheArenaHandle) {
 
 TEST(InferenceArenaTest, ClearDropsPooledBuffersOnly) {
   InferenceArena arena;
-  std::shared_ptr<std::vector<std::byte>> held = arena.Acquire(4);
+  std::shared_ptr<Storage> held = arena.Acquire(4);
   { auto released = arena.Acquire(4); }
   EXPECT_EQ(arena.stats().pooled, 1u);
   arena.Clear();
