@@ -14,9 +14,17 @@ thread_local int no_grad_depth = 0;
 
 // Adds `delta` into `acc` (initializing `acc` on first use). Shapes must
 // match exactly; ops are responsible for reducing broadcasts beforehand.
-void AccumulateGrad(Tensor* acc, const Tensor& delta) {
+// The first delta becomes the accumulator itself when nothing else can see
+// its buffer: its impl and its storage are held only by `delta`, and it is
+// no graph node (no grad_fn, not requires_grad). Any other first delta (a
+// view, a tensor a closure kept, one returned for two inputs) is cloned,
+// so later in-place adds never reach a buffer another tensor reads.
+void AccumulateGrad(Tensor* acc, Tensor delta) {
   if (!acc->defined()) {
-    *acc = delta.Clone();
+    const std::shared_ptr<TensorImpl>& impl = delta.impl();
+    bool unique = impl.use_count() == 1 && impl->storage.use_count() == 1 &&
+                  impl->grad_fn == nullptr && !impl->requires_grad;
+    *acc = unique ? std::move(delta) : delta.Clone();
     return;
   }
   EMAF_CHECK(acc->shape() == delta.shape())
@@ -100,13 +108,16 @@ void RunBackward(const Tensor& root) {
     TensorImpl* impl = *it;
     auto grad_it = grads.find(impl);
     if (grad_it == grads.end()) continue;  // unreachable branch
-    Tensor grad = grad_it->second;
+    // Take the node's gradient out of the map, so the buffer is held only
+    // here and can be adopted by whatever consumes it.
+    Tensor grad = std::move(grad_it->second);
+    grads.erase(grad_it);
 
     if (impl->grad_fn == nullptr) {
       if (impl->requires_grad) {
         // Leaf: accumulate into persistent .grad.
         Tensor current = impl->grad == nullptr ? Tensor() : Tensor(impl->grad);
-        AccumulateGrad(&current, grad);
+        AccumulateGrad(&current, std::move(grad));
         impl->grad = current.impl();
       }
       continue;
@@ -114,21 +125,22 @@ void RunBackward(const Tensor& root) {
 
     GradFn* fn = impl->grad_fn.get();
     std::vector<Tensor> input_grads = fn->backward(grad);
+    // Drop this handle so a closure that returned `grad` (or a view of it)
+    // hands over the only reference.
+    grad = Tensor();
     EMAF_CHECK_EQ(input_grads.size(), fn->inputs.size())
         << "op " << fn->name << " returned wrong number of gradients";
     for (size_t i = 0; i < fn->inputs.size(); ++i) {
       const Tensor& input = fn->inputs[i];
       if (!input.defined() || !input.TracksGrad()) continue;
-      const Tensor& ig = input_grads[i];
+      Tensor& ig = input_grads[i];
       if (!ig.defined()) continue;
       EMAF_CHECK(ig.shape() == input.shape())
           << "op " << fn->name << " produced gradient of shape "
           << ig.shape().ToString() << " for input of shape "
           << input.shape().ToString();
-      AccumulateGrad(&grads[input.impl().get()], ig);
+      AccumulateGrad(&grads[input.impl().get()], std::move(ig));
     }
-    // Free this node's gradient buffer early.
-    grads.erase(grad_it);
   }
 }
 

@@ -23,7 +23,10 @@ struct GradFn {
   // The op's inputs (graph edges point from output to inputs).
   std::vector<Tensor> inputs;
   // Maps d(loss)/d(output) to {d(loss)/d(input_i)}. Entries may be undefined
-  // Tensors for inputs that do not need gradients.
+  // Tensors for inputs that do not need gradients. An entry may be
+  // grad_output itself or a view of it, but must not be written after it is
+  // returned: the engine adopts a returned tensor as an accumulator when
+  // nothing else holds its buffer and clones it otherwise.
   std::function<std::vector<Tensor>(const Tensor& grad_output)> backward;
 };
 

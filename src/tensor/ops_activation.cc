@@ -293,14 +293,20 @@ Tensor Dropout(const Tensor& x, Scalar p, bool training, Rng* rng) {
   EMAF_CHECK_LT(p, 1.0) << "Dropout probability must be < 1";
   if (!training || p == 0.0) return x;
   EMAF_CHECK(rng != nullptr);
-  Scalar keep = 1.0 - p;
+  const Scalar keep = 1.0 - p;
+  const Scalar scale = 1.0 / keep;
+  // One Bernoulli draw per element in index order; the mask and the output
+  // are written in the same pass.
   Tensor mask = MakeUninitialized(x.shape());
+  Tensor out = MakeUninitialized(x.shape());
   Scalar* md = mask.data();
-  const int64_t emaf_n = mask.NumElements();
-  for (int64_t i = 0; i < emaf_n; ++i) {
-    md[i] = rng->Bernoulli(keep) ? 1.0 / keep : 0.0;
+  Scalar* od = out.data();
+  const Scalar* xd = x.data();
+  const int64_t n = x.NumElements();
+  for (int64_t i = 0; i < n; ++i) {
+    md[i] = rng->Bernoulli(keep) ? scale : 0.0;
+    od[i] = xd[i] * md[i];
   }
-  Tensor out = internal::MapBinary(x, mask, [](Scalar a, Scalar b) { return a * b; });
   if (ShouldRecord({x})) {
     SetGradFn(&out, "Dropout", {x}, [mask](const Tensor& g) {
       NoGradGuard guard;

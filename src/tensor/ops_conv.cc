@@ -220,16 +220,25 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   std::vector<Tensor> tracked = {input, weight};
   if (bias.defined()) tracked.push_back(bias);
   if (ShouldRecord(tracked)) {
-    Tensor w_saved = weight.Detach();
+    // Which inputs take a gradient is fixed at record time; the others get
+    // an undefined Tensor and none of the work: a data input skips the
+    // gcol GEMM and the col2im scatter.
+    bool need_input = input.TracksGrad();
+    bool need_weight = weight.TracksGrad();
+    bool need_bias = bias.defined() && bias.TracksGrad();
     bool has_bias = bias.defined();
+    // `col` is cached for the weight gradient (memory-for-speed tradeoff);
+    // each cached tensor is kept only if a gradient reads it.
+    Tensor col_saved = need_weight ? col : Tensor();
+    Tensor w_saved = need_input ? weight.Detach() : Tensor();
     Conv2dOptions opts = options;
     Shape input_shape = input.shape();
     std::vector<Tensor> node_inputs = {input, weight};
     if (has_bias) node_inputs.push_back(bias);
-    // `col` is cached for the weight gradient (memory-for-speed tradeoff).
     SetGradFn(
         &out, "Conv2d", node_inputs,
-        [col, w_saved, has_bias, opts, d, input_shape](const Tensor& g) {
+        [col_saved, w_saved, need_input, need_weight, need_bias, has_bias,
+         opts, d, input_shape](const Tensor& g) {
           NoGradGuard guard;
           int64_t hw = d.out_h * d.out_w;
           // Gather g [N, O, oh, ow] -> gmat [M, O].
@@ -248,23 +257,24 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
             });
           }
 
-          // gw [O, K] = gmat^T [O, M] x col [M, K].
-          Tensor gmat_t =
-              TransposeMatrix(gmat.data(), d.rows(), d.out_channels);
-          Tensor gw = Tensor::Zeros(
-              Shape{d.out_channels, d.in_channels, d.kernel_h, d.kernel_w});
-          internal::ParallelMatMul(gmat_t.data(), col.data(), gw.data(),
-                                   d.out_channels, d.rows(), d.cols());
-
-          // gcol [M, K] = gmat [M, O] x W [O, K]; then col2im scatter-add.
-          Tensor gcol = Tensor::Zeros(Shape{d.rows(), d.cols()});
-          internal::ParallelMatMul(gmat.data(), w_saved.data(), gcol.data(),
-                                   d.rows(), d.out_channels, d.cols());
-          Tensor gin = Tensor::Zeros(input_shape);
-          Col2ImAdd(gcol.data(), d, opts, gin.data());
-
-          std::vector<Tensor> grads = {gin, gw};
-          if (has_bias) {
+          std::vector<Tensor> grads(has_bias ? 3 : 2);
+          if (need_input) {
+            // gcol [M, K] = gmat [M, O] x W [O, K]; then col2im scatter-add.
+            Tensor gcol = Tensor::Zeros(Shape{d.rows(), d.cols()});
+            internal::ParallelMatMul(gmat.data(), w_saved.data(), gcol.data(),
+                                     d.rows(), d.out_channels, d.cols());
+            grads[0] = Tensor::Zeros(input_shape);
+            Col2ImAdd(gcol.data(), d, opts, grads[0].data());
+          }
+          if (need_weight) {
+            // gw [O, K] = gmat^T [O, M] x col [M, K], gmat^T read in place.
+            grads[1] = Tensor::Zeros(
+                Shape{d.out_channels, d.in_channels, d.kernel_h, d.kernel_w});
+            internal::ParallelMatMulTransA(gmat.data(), d.out_channels,
+                                           col_saved.data(), grads[1].data(),
+                                           d.out_channels, d.rows(), d.cols());
+          }
+          if (need_bias) {
             Tensor gb = Tensor::Zeros(Shape{d.out_channels});
             Scalar* gbd = gb.data();
             const Scalar* gm = gmat.data();
@@ -273,7 +283,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
                 gbd[o] += gm[r * d.out_channels + o];
               }
             }
-            grads.push_back(gb);
+            grads[2] = gb;
           }
           return grads;
         });

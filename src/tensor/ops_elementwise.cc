@@ -10,7 +10,7 @@ namespace {
 
 using internal::MapBinary;
 using internal::MapUnary;
-using internal::SumTo;
+using internal::ReduceGrad;
 
 namespace ph = plan_hook;
 
@@ -22,8 +22,13 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
     Shape sb = b.shape();
-    SetGradFn(&out, "Add", {a, b}, [sa, sb](const Tensor& g) {
-      return std::vector<Tensor>{SumTo(g, sa), SumTo(g, sb)};
+    // Which inputs take a gradient is fixed at record time; the others get
+    // an undefined Tensor, which the engine skips.
+    bool need_a = a.TracksGrad();
+    bool need_b = b.TracksGrad();
+    SetGradFn(&out, "Add", {a, b}, [sa, sb, need_a, need_b](const Tensor& g) {
+      return std::vector<Tensor>{need_a ? ReduceGrad(g, sa) : Tensor(),
+                                 need_b ? ReduceGrad(g, sb) : Tensor()};
     });
   }
   return out;
@@ -35,12 +40,15 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   if (ShouldRecord({a, b})) {
     Shape sa = a.shape();
     Shape sb = b.shape();
-    SetGradFn(&out, "Sub", {a, b}, [sa, sb](const Tensor& g) {
-      Tensor gb = SumTo(g, sb);
-      Scalar* d = gb.data();
-      const int64_t emaf_n = gb.NumElements();
-      for (int64_t i = 0; i < emaf_n; ++i) d[i] = -d[i];
-      return std::vector<Tensor>{SumTo(g, sa), gb};
+    bool need_a = a.TracksGrad();
+    bool need_b = b.TracksGrad();
+    SetGradFn(&out, "Sub", {a, b}, [sa, sb, need_a, need_b](const Tensor& g) {
+      Tensor gb;
+      if (need_b) {
+        // ReduceGrad may return g itself, so negate into a fresh buffer.
+        gb = MapUnary(ReduceGrad(g, sb), [](Scalar v) { return -v; });
+      }
+      return std::vector<Tensor>{need_a ? ReduceGrad(g, sa) : Tensor(), gb};
     });
   }
   return out;
@@ -52,10 +60,13 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   if (ShouldRecord({a, b})) {
     Tensor ad = a.Detach();
     Tensor bd = b.Detach();
-    SetGradFn(&out, "Mul", {a, b}, [ad, bd](const Tensor& g) {
+    bool need_a = a.TracksGrad();
+    bool need_b = b.TracksGrad();
+    SetGradFn(&out, "Mul", {a, b}, [ad, bd, need_a, need_b](const Tensor& g) {
       NoGradGuard guard;
-      return std::vector<Tensor>{SumTo(Mul(g, bd), ad.shape()),
-                                 SumTo(Mul(g, ad), bd.shape())};
+      return std::vector<Tensor>{
+          need_a ? ReduceGrad(Mul(g, bd), ad.shape()) : Tensor(),
+          need_b ? ReduceGrad(Mul(g, ad), bd.shape()) : Tensor()};
     });
   }
   return out;
@@ -70,8 +81,8 @@ Tensor Div(const Tensor& a, const Tensor& b) {
     SetGradFn(&out, "Div", {a, b}, [ad, bd](const Tensor& g) {
       NoGradGuard guard;
       // d/da = g / b ; d/db = -g * a / b^2
-      Tensor ga = SumTo(Div(g, bd), ad.shape());
-      Tensor gb = SumTo(Neg(Div(Mul(g, ad), Mul(bd, bd))), bd.shape());
+      Tensor ga = ReduceGrad(Div(g, bd), ad.shape());
+      Tensor gb = ReduceGrad(Neg(Div(Mul(g, ad), Mul(bd, bd))), bd.shape());
       return std::vector<Tensor>{ga, gb};
     });
   }
@@ -92,8 +103,8 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x >= y ? 1.0 : 0.0; });
       Tensor pick_b =
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x >= y ? 0.0 : 1.0; });
-      return std::vector<Tensor>{SumTo(Mul(g, pick_a), ad.shape()),
-                                 SumTo(Mul(g, pick_b), bd.shape())};
+      return std::vector<Tensor>{ReduceGrad(Mul(g, pick_a), ad.shape()),
+                                 ReduceGrad(Mul(g, pick_b), bd.shape())};
     });
   }
   return out;
@@ -112,8 +123,8 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x <= y ? 1.0 : 0.0; });
       Tensor pick_b =
           MapBinary(ad, bd, [](Scalar x, Scalar y) { return x <= y ? 0.0 : 1.0; });
-      return std::vector<Tensor>{SumTo(Mul(g, pick_a), ad.shape()),
-                                 SumTo(Mul(g, pick_b), bd.shape())};
+      return std::vector<Tensor>{ReduceGrad(Mul(g, pick_a), ad.shape()),
+                                 ReduceGrad(Mul(g, pick_b), bd.shape())};
     });
   }
   return out;
@@ -233,7 +244,7 @@ Tensor AddScalar(const Tensor& x, Scalar s) {
   if (ph::Active()) ph::Record({ph::OpKind::kAddScalar, {x}, out, s});
   if (ShouldRecord({x})) {
     SetGradFn(&out, "AddScalar", {x}, [](const Tensor& g) {
-      return std::vector<Tensor>{g.Clone()};
+      return std::vector<Tensor>{g};
     });
   }
   return out;

@@ -111,26 +111,36 @@ void GemmRowBlock(const Scalar* ap, const int64_t* boff, int64_t count,
   }
 }
 
-}  // namespace
-
-void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
-                  Scalar* __restrict__ c, int64_t m, int64_t k, int64_t n) {
+// The kernel body for both entry points. A[i][kk] is a[i * lda + kk], or
+// with kTransA (A read from its transpose A^T, [k, lda]) a[kk * lda + i],
+// so a 4-row block packs four contiguous doubles per kk. Packing order,
+// zero-skip and the per-element FMA chain are the same either way.
+template <bool kTransA>
+void GemmKernel(const Scalar* __restrict__ a, int64_t lda,
+                const Scalar* __restrict__ b, Scalar* __restrict__ c,
+                int64_t m, int64_t k, int64_t n) {
   alignas(32) Scalar ap[kKc * 4];
   int64_t boff[kKc];
   for (int64_t k0 = 0; k0 < k; k0 += kKc) {
     const int64_t k1 = std::min(k, k0 + kKc);
     int64_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      const Scalar* a0 = a + i * k;
-      const Scalar* a1 = a0 + k;
-      const Scalar* a2 = a1 + k;
-      const Scalar* a3 = a2 + k;
       int64_t count = 0;
       for (int64_t kk = k0; kk < k1; ++kk) {
-        Scalar v0 = a0[kk];
-        Scalar v1 = a1[kk];
-        Scalar v2 = a2[kk];
-        Scalar v3 = a3[kk];
+        Scalar v0, v1, v2, v3;
+        if constexpr (kTransA) {
+          const Scalar* src = a + kk * lda + i;
+          v0 = src[0];
+          v1 = src[1];
+          v2 = src[2];
+          v3 = src[3];
+        } else {
+          const Scalar* src = a + i * lda + kk;
+          v0 = src[0];
+          v1 = src[lda];
+          v2 = src[2 * lda];
+          v3 = src[3 * lda];
+        }
         if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
         Scalar* dst = ap + count * 4;
         dst[0] = v0;
@@ -142,11 +152,11 @@ void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
       GemmRowBlock<4>(ap, boff, count, b, c + i * n, n);
     }
     for (; i < m; ++i) {
-      const Scalar* arow = a + i * k;
       int64_t count = 0;
       for (int64_t kk = k0; kk < k1; ++kk) {
-        if (arow[kk] == 0.0) continue;
-        ap[count] = arow[kk];
+        const Scalar v = kTransA ? a[kk * lda + i] : a[i * lda + kk];
+        if (v == 0.0) continue;
+        ap[count] = v;
         boff[count++] = kk * n;
       }
       GemmRowBlock<1>(ap, boff, count, b, c + i * n, n);
@@ -154,12 +164,15 @@ void MatMulKernel(const Scalar* __restrict__ a, const Scalar* __restrict__ b,
   }
 }
 
-void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
-                    int64_t k, int64_t n) {
+// GemmKernel split by rows over the pool; see ParallelMatMul in
+// op_common.h.
+template <bool kTransA>
+void ParallelGemm(const Scalar* a, int64_t lda, const Scalar* b, Scalar* c,
+                  int64_t m, int64_t k, int64_t n) {
   common::ThreadPool& pool = common::ThreadPool::Global();
   if (pool.num_threads() <= 1 || m < 8 || m * k * n < kMatMulParallelMinFlops) {
     EMAF_METRIC_COUNTER_ADD("matmul.dispatch_serial", 1);
-    MatMulKernel(a, b, c, m, k, n);
+    GemmKernel<kTransA>(a, lda, b, c, m, k, n);
     return;
   }
   EMAF_METRIC_COUNTER_ADD("matmul.dispatch_parallel", 1);
@@ -173,8 +186,31 @@ void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
   pool.ParallelFor(0, num_blocks, grain, [&](int64_t b0, int64_t b1) {
     int64_t r0 = b0 * 4;
     int64_t r1 = std::min(b1 * 4, m);
-    MatMulKernel(a + r0 * k, b, c + r0 * n, r1 - r0, k, n);
+    const Scalar* a_rows = kTransA ? a + r0 : a + r0 * lda;
+    GemmKernel<kTransA>(a_rows, lda, b, c + r0 * n, r1 - r0, k, n);
   });
+}
+
+}  // namespace
+
+void MatMulKernel(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
+                  int64_t k, int64_t n) {
+  GemmKernel<false>(a, k, b, c, m, k, n);
+}
+
+void MatMulKernelTransA(const Scalar* at, int64_t lda, const Scalar* b,
+                        Scalar* c, int64_t m, int64_t k, int64_t n) {
+  GemmKernel<true>(at, lda, b, c, m, k, n);
+}
+
+void ParallelMatMul(const Scalar* a, const Scalar* b, Scalar* c, int64_t m,
+                    int64_t k, int64_t n) {
+  ParallelGemm<false>(a, k, b, c, m, k, n);
+}
+
+void ParallelMatMulTransA(const Scalar* at, int64_t lda, const Scalar* b,
+                          Scalar* c, int64_t m, int64_t k, int64_t n) {
+  ParallelGemm<true>(at, lda, b, c, m, k, n);
 }
 
 void ParallelMatMul(const float* a, const float* b, float* c, int64_t m,
@@ -321,24 +357,33 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if (ShouldRecord({a, b})) {
     Tensor ad_saved = a.Detach();
     Tensor bd_saved = b.Detach();
-    SetGradFn(&out, "MatMul", {a, b}, [ad_saved, bd_saved](const Tensor& g) {
+    // Which inputs take a gradient is fixed at record time; the others get
+    // an undefined Tensor and no GEMM.
+    bool need_a = a.TracksGrad();
+    bool need_b = b.TracksGrad();
+    SetGradFn(&out, "MatMul", {a, b},
+              [ad_saved, bd_saved, need_a, need_b](const Tensor& g) {
       NoGradGuard guard;
       // dA = g B^T, reduced over broadcast batch dims; likewise dB.
-      Tensor ga = internal::SumTo(MatMul(g, TransposeLast2(bd_saved)),
+      Tensor ga;
+      if (need_a) {
+        ga = internal::ReduceGrad(MatMul(g, TransposeLast2(bd_saved)),
                                   ad_saved.shape());
+      }
       Tensor gb;
-      if (bd_saved.rank() == 2) {
+      if (need_b && bd_saved.rank() == 2) {
         // dB = sum_batch A^T g = (collapsed A)^T (collapsed g): one kernel
-        // call instead of a batched matmul plus reduction.
+        // call that reads A^T in place, instead of a batched matmul plus
+        // reduction.
         int64_t k = bd_saved.dim(0);
         int64_t n = bd_saved.dim(1);
         int64_t rows = ad_saved.NumElements() / k;
-        Tensor at = TransposeLast2(Reshape(ad_saved, Shape{rows, k}));
         gb = Tensor::Zeros(bd_saved.shape());
-        internal::ParallelMatMul(at.data(), g.data(), gb.data(), k, rows, n);
-      } else {
-        gb = internal::SumTo(MatMul(TransposeLast2(ad_saved), g),
-                             bd_saved.shape());
+        internal::ParallelMatMulTransA(ad_saved.data(), k, g.data(),
+                                       gb.data(), k, rows, n);
+      } else if (need_b) {
+        gb = internal::ReduceGrad(MatMul(TransposeLast2(ad_saved), g),
+                                  bd_saved.shape());
       }
       return std::vector<Tensor>{ga, gb};
     });

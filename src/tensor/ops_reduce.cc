@@ -16,20 +16,40 @@ namespace internal {
 
 namespace {
 
+// Adds every element of x, in index order, into out at the offset
+// t_strides gives it. The walk runs over coalesced axes one innermost run
+// at a time: a stride-1 run adds elementwise; a stride-0 run (an axis that
+// is reduced) sums into a local seeded from its target in ascending order,
+// the same chain of adds the per-element walk makes.
 template <typename T>
 void SumToAccumulate(const Tensor& x, Tensor* out,
-                     const std::vector<int64_t>& t_strides) {
-  const Shape& xs = x.shape();
-  const std::vector<int64_t>& dims = xs.dims();
-  int64_t rank = xs.rank();
-  std::vector<int64_t> index(rank, 0);
+                     std::vector<int64_t> t_strides) {
+  const int64_t n = x.NumElements();
+  if (n == 0) return;
+  // x is contiguous, so every axis pair merges on its side; only the
+  // target's strides decide.
+  std::vector<int64_t> dims = x.shape().dims();
+  CoalesceAxes(&dims, {&t_strides});
+  const int64_t rank = static_cast<int64_t>(dims.size());
+  std::vector<int64_t> index(dims.size(), 0);
+  const int64_t inner = dims.back();
+  const int64_t ts = t_strides.back();
   const T* xd = x.template data<T>();
   T* od = out->template data<T>();
-  int64_t n = xs.NumElements();
   int64_t off = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    od[off] += xd[i];
-    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+  for (int64_t i = 0; i < n; i += inner) {
+    const T* xp = xd + i;
+    T* op = od + off;
+    if (ts == 0) {
+      T acc = *op;
+      for (int64_t j = 0; j < inner; ++j) acc += xp[j];
+      *op = acc;
+    } else if (ts == 1) {
+      for (int64_t j = 0; j < inner; ++j) op[j] += xp[j];
+    } else {
+      for (int64_t j = 0; j < inner; ++j) op[j * ts] += xp[j];
+    }
+    for (int64_t axis = rank - 2; axis >= 0; --axis) {
       off += t_strides[axis];
       if (++index[axis] < dims[axis]) break;
       off -= t_strides[axis] * dims[axis];
@@ -54,9 +74,9 @@ Tensor SumTo(const Tensor& x, const Shape& target) {
   Tensor out = Tensor::Zeros(target, x.dtype());
   std::vector<int64_t> t_strides = BroadcastStrides(target, x.shape());
   if (x.dtype() == DType::kF32) {
-    SumToAccumulate<float>(x, &out, t_strides);
+    SumToAccumulate<float>(x, &out, std::move(t_strides));
   } else {
-    SumToAccumulate<Scalar>(x, &out, t_strides);
+    SumToAccumulate<Scalar>(x, &out, std::move(t_strides));
   }
   if (ph::Active()) {
     ph::Record({ph::OpKind::kSumTo, {x}, out, 0.0, 0.0, target.dims()});
@@ -278,7 +298,7 @@ Tensor Sum(const Tensor& x, const std::vector<int64_t>& dims, bool keepdim) {
     Tensor out = x.Clone();
     if (ShouldRecord({x})) {
       SetGradFn(&out, "SumNoAxes", {x}, [](const Tensor& g) {
-        return std::vector<Tensor>{g.Clone()};
+        return std::vector<Tensor>{g};
       });
     }
     return out;

@@ -91,8 +91,8 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
   if (ShouldRecord({x})) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "Reshape", {x}, [x_shape](const Tensor& g) {
-      // A view of g: AccumulateGrad clones the first delta it keeps, so
-      // the alias never outlives this backward step.
+      // A view of g: AccumulateGrad adopts it only when nothing else
+      // holds g's storage, and clones it otherwise.
       return std::vector<Tensor>{ViewAs(g, x_shape)};
     });
   }
@@ -364,7 +364,7 @@ Tensor BroadcastTo(const Tensor& x, const Shape& shape) {
     Shape x_shape = x.shape();
     SetGradFn(&out, "BroadcastTo", {x}, [x_shape](const Tensor& g) {
       NoGradGuard guard;
-      return std::vector<Tensor>{internal::SumTo(g, x_shape)};
+      return std::vector<Tensor>{internal::ReduceGrad(g, x_shape)};
     });
   }
   return out;

@@ -1,7 +1,9 @@
 // Oracle test for the f64 GEMM kernel (internal::MatMulKernel): the
 // kernel, and ParallelMatMul at 1/2/8 threads, must reproduce BITWISE the
 // scalar kernel that produced the committed golden bytes,
-// kept verbatim below as OracleKernel. Comparing the kernel against
+// kept verbatim below as OracleKernel. The transposed-A entry points
+// (MatMulKernelTransA, ParallelMatMulTransA) are held to the same oracle,
+// run on an explicitly transposed copy. Comparing the kernel against
 // itself (as the property suites do for the parallel paths) cannot catch
 // a change in the per-element FMA chain or in the zero-skip.
 
@@ -150,6 +152,35 @@ std::vector<Scalar> RunParallel(const Problem& p) {
   return c;
 }
 
+// A^T of the problem's A as a [k, lda] buffer, lda >= m. The lda - m
+// padding columns hold NaN, so a read past column m - 1 poisons the result.
+std::vector<Scalar> TransposedA(const Problem& p, int64_t lda) {
+  std::vector<Scalar> at(static_cast<size_t>(p.k * lda), kNaN);
+  for (int64_t i = 0; i < p.m; ++i) {
+    for (int64_t kk = 0; kk < p.k; ++kk) {
+      at[static_cast<size_t>(kk * lda + i)] =
+          p.a[static_cast<size_t>(i * p.k + kk)];
+    }
+  }
+  return at;
+}
+
+std::vector<Scalar> RunKernelTransA(const Problem& p, int64_t lda) {
+  std::vector<Scalar> at = TransposedA(p, lda);
+  std::vector<Scalar> c = p.c;
+  internal::MatMulKernelTransA(at.data(), lda, p.b.data(), c.data(), p.m,
+                               p.k, p.n);
+  return c;
+}
+
+std::vector<Scalar> RunParallelTransA(const Problem& p, int64_t lda) {
+  std::vector<Scalar> at = TransposedA(p, lda);
+  std::vector<Scalar> c = p.c;
+  internal::ParallelMatMulTransA(at.data(), lda, p.b.data(), c.data(), p.m,
+                                 p.k, p.n);
+  return c;
+}
+
 // Bitwise equality of two result buffers; reports the first differing
 // element with the shape.
 ::testing::AssertionResult SameBytes(const std::vector<Scalar>& want,
@@ -251,6 +282,75 @@ TEST_F(MatMulKernelOracleTest, ParallelMatMulAtOneTwoEightThreads) {
       common::ThreadPool::SetGlobalNumThreads(threads);
       SCOPED_TRACE("threads=" + std::to_string(threads));
       EXPECT_TRUE(SameBytes(want, RunParallel(p), p));
+    }
+    common::ThreadPool::SetGlobalNumThreads(1);
+  }
+}
+
+TEST_F(MatMulKernelOracleTest, TransAEveryRowAndColumnRemainder) {
+  // Every m % 4 and n % 8 (plus the wide tiles' edges), read from A^T with
+  // lda == m and with padding columns (lda > m).
+  std::vector<int64_t> ns;
+  for (int64_t n = 1; n <= 17; ++n) ns.push_back(n);
+  for (int64_t n : {31, 32, 33, 63, 64, 65, 127, 128, 129}) ns.push_back(n);
+  uint64_t seed = 400;
+  for (int64_t m = 1; m <= 11; ++m) {
+    for (int64_t n : ns) {
+      for (int64_t k : {1, 2, 5, 31, 257}) {
+        Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
+        std::vector<Scalar> want = RunOracle(p);
+        for (int64_t lda : {m, m + 1, m + 5}) {
+          SCOPED_TRACE("lda=" + std::to_string(lda));
+          ASSERT_TRUE(SameBytes(want, RunKernelTransA(p, lda), p));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(MatMulKernelOracleTest, TransALongInnerDimension) {
+  // k across the k-chunk boundaries, up to a conv weight gradient's
+  // reduction over ~9.5k im2col rows (m = out_channels, lda = m).
+  uint64_t seed = 500;
+  for (int64_t k : {255, 256, 257, 513, 4099, 9490}) {
+    for (auto [m, n, lda] : std::vector<std::tuple<int64_t, int64_t, int64_t>>{
+             {4, 96, 4}, {8, 37, 8}, {12, 32, 12}, {3, 26, 7}}) {
+      Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
+      ASSERT_TRUE(SameBytes(RunOracle(p), RunKernelTransA(p, lda), p));
+    }
+  }
+}
+
+TEST_F(MatMulKernelOracleTest, TransAPlainRandomMatricesWithoutSpecials) {
+  uint64_t seed = 600;
+  for (auto [m, k, n] : std::vector<std::tuple<int64_t, int64_t, int64_t>>{
+           {96, 300, 32}, {26, 130, 26}, {9, 224, 8}, {32, 9, 96}}) {
+    Problem p = MakeProblem(m, k, n, seed++, /*specials=*/false);
+    std::vector<Scalar> want = RunOracle(p);
+    for (Scalar v : want) ASSERT_TRUE(std::isfinite(v));
+    ASSERT_TRUE(SameBytes(want, RunKernelTransA(p, m), p));
+    ASSERT_TRUE(SameBytes(want, RunKernelTransA(p, m + 3), p));
+  }
+}
+
+TEST_F(MatMulKernelOracleTest, ParallelMatMulTransAAtOneTwoEightThreads) {
+  // Above kMatMulParallelMinFlops, so the pool splits rows into 4-row
+  // chunks that start at column offsets of A^T.
+  std::vector<std::tuple<int64_t, int64_t, int64_t, int64_t>> shapes = {
+      {203, 67, 37, 203}, {130, 300, 9, 133}, {64, 33, 129, 70},
+      {8, 9490, 96, 8}, {97, 1001, 26, 101}};
+  for (auto [m, k, n, lda] : shapes) {
+    ASSERT_GE(m * k * n, internal::kMatMulParallelMinFlops);
+  }
+  uint64_t seed = 700;
+  for (auto [m, k, n, lda] : shapes) {
+    Problem p = MakeProblem(m, k, n, seed++, /*specials=*/true);
+    std::vector<Scalar> want = RunOracle(p);
+    for (int64_t threads : {1, 2, 8}) {
+      common::ThreadPool::SetGlobalNumThreads(threads);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " lda=" + std::to_string(lda));
+      EXPECT_TRUE(SameBytes(want, RunParallelTransA(p, lda), p));
     }
     common::ThreadPool::SetGlobalNumThreads(1);
   }

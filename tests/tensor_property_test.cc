@@ -224,9 +224,11 @@ struct ScopedThreads {
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                        static_cast<size_t>(a.NumElements()) * sizeof(Scalar)),
-            0);
+  ASSERT_EQ(a.dtype(), b.dtype());
+  EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(),
+                        static_cast<size_t>(a.byte_size())),
+            0)
+      << a.shape().ToString();
 }
 
 TEST_P(SeededPropertyTest, ParallelMatMulMatchesSerialKernelAcrossShapes) {
@@ -311,6 +313,118 @@ TEST_P(SeededPropertyTest, ParallelConvPassesWeightGradCheck) {
       },
       {weight}, 1e-6, 1e-5);
   EXPECT_TRUE(r.ok) << "err " << r.max_error;
+}
+
+// The per-element broadcast odometers MapBinaryT and SumTo ran before
+// their walks moved to coalesced inner runs, kept here as the reference
+// the inner-run paths must match bitwise.
+template <typename T, typename F>
+Tensor OdometerMapBinary(const Tensor& a, const Tensor& b, F f) {
+  Shape out_shape = BroadcastShapes(a.shape(), b.shape());
+  Tensor out = Tensor::Zeros(out_shape, a.dtype());
+  std::vector<int64_t> a_strides = BroadcastStrides(a.shape(), out_shape);
+  std::vector<int64_t> b_strides = BroadcastStrides(b.shape(), out_shape);
+  const std::vector<int64_t>& dims = out_shape.dims();
+  int64_t rank = out_shape.rank();
+  std::vector<int64_t> index(rank, 0);
+  const T* ad = a.template data<T>();
+  const T* bd = b.template data<T>();
+  T* od = out.template data<T>();
+  int64_t n = out_shape.NumElements();
+  int64_t a_off = 0;
+  int64_t b_off = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    od[i] = f(ad[a_off], bd[b_off]);
+    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+      a_off += a_strides[axis];
+      b_off += b_strides[axis];
+      if (++index[axis] < dims[axis]) break;
+      a_off -= a_strides[axis] * dims[axis];
+      b_off -= b_strides[axis] * dims[axis];
+      index[axis] = 0;
+    }
+  }
+  return out;
+}
+
+template <typename T>
+Tensor OdometerSumTo(const Tensor& x, const Shape& target) {
+  Tensor out = Tensor::Zeros(target, x.dtype());
+  std::vector<int64_t> t_strides = BroadcastStrides(target, x.shape());
+  const Shape& xs = x.shape();
+  const std::vector<int64_t>& dims = xs.dims();
+  int64_t rank = xs.rank();
+  std::vector<int64_t> index(rank, 0);
+  const T* xd = x.template data<T>();
+  T* od = out.template data<T>();
+  int64_t n = xs.NumElements();
+  int64_t off = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    od[off] += xd[i];
+    for (int64_t axis = rank - 1; axis >= 0; --axis) {
+      off += t_strides[axis];
+      if (++index[axis] < dims[axis]) break;
+      off -= t_strides[axis] * dims[axis];
+      index[axis] = 0;
+    }
+  }
+  return out;
+}
+
+// A random broadcast operand of `out`: leading axes dropped (down to rank
+// 0) and axes, the innermost included, shrunk to 1 at random.
+Shape RandomOperandOf(const Shape& out, Rng* rng) {
+  int64_t drop = rng->UniformInt(0, out.rank());
+  std::vector<int64_t> dims;
+  for (int64_t i = drop; i < out.rank(); ++i) {
+    dims.push_back(rng->Bernoulli(0.45) ? 1 : out.dim(i));
+  }
+  return Shape(dims);
+}
+
+// Values spread over several binades, so a change in the order of a sum
+// shows in the low bits.
+Tensor SpreadValues(const Shape& shape, Rng* rng) {
+  Tensor t = Tensor::Uniform(shape, -1, 1, rng);
+  for (int64_t i = 0; i < t.NumElements(); ++i) {
+    int exponent = static_cast<int>(rng->UniformInt(-20, 20));
+    t.data()[i] = std::ldexp(t.data()[i], exponent);
+  }
+  return t;
+}
+
+TEST_P(SeededPropertyTest, InnerRunBroadcastPathsMatchPerElementOdometer) {
+  Rng rng(16000 + GetParam());
+  auto f = [](auto x, auto y) { return x - y * x; };
+  for (int trial = 0; trial < 60; ++trial) {
+    // Output rank 0-4; extents up to 7, with the innermost often 1.
+    int64_t rank = rng.UniformInt(0, 4);
+    std::vector<int64_t> dims;
+    for (int64_t i = 0; i < rank; ++i) {
+      bool inner_one = i == rank - 1 && rng.Bernoulli(0.3);
+      dims.push_back(inner_one ? 1 : rng.UniformInt(1, 7));
+    }
+    Shape out(dims);
+    Shape sa = RandomOperandOf(out, &rng);
+    Shape sb = RandomOperandOf(out, &rng);
+    Shape full = BroadcastShapes(sa, sb);
+    Tensor a = SpreadValues(sa, &rng);
+    Tensor b = SpreadValues(sb, &rng);
+    Tensor x = SpreadValues(full, &rng);
+    SCOPED_TRACE(sa.ToString() + " op " + sb.ToString());
+    ExpectBitwiseEqual(OdometerMapBinary<double>(a, b, f),
+                    internal::MapBinary(a, b, f));
+    ExpectBitwiseEqual(OdometerSumTo<double>(x, sa), internal::SumTo(x, sa));
+    ExpectBitwiseEqual(OdometerSumTo<double>(x, sb), internal::SumTo(x, sb));
+
+    Tensor a32 = a.CastTo(DType::kF32);
+    Tensor b32 = b.CastTo(DType::kF32);
+    Tensor x32 = x.CastTo(DType::kF32);
+    ExpectBitwiseEqual(OdometerMapBinary<float>(a32, b32, f),
+                    internal::MapBinary(a32, b32, f));
+    ExpectBitwiseEqual(OdometerSumTo<float>(x32, sa), internal::SumTo(x32, sa));
+    ExpectBitwiseEqual(OdometerSumTo<float>(x32, sb), internal::SumTo(x32, sb));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededPropertyTest,
